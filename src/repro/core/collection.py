@@ -170,8 +170,8 @@ class SetCollection:
         to the unsharded kernels; only throughput changes.  ``None`` (the
         default) keeps the single-kernel path; see also :meth:`reshard`.
     shard_executor:
-        Worker pool for the shards: ``"thread"`` (default), ``"process"``
-        or ``"serial"``; ``None`` defers to ``$REPRO_SHARD_EXECUTOR``.
+        How the shards run: ``"thread"`` (default, a thread pool) or
+        ``"serial"``; ``None`` defers to ``$REPRO_SHARD_EXECUTOR``.
     informative_cache_size:
         Bound on the per-mask informative-stats cache
         (:data:`DEFAULT_INFORMATIVE_CACHE_SIZE` masks by default, LRU

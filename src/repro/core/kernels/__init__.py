@@ -21,17 +21,17 @@ with two interchangeable backends:
   that allocate nothing and release the GIL.  The sweeps are
   SIMD-dispatched at import (``scalar``/``avx2``/``avx512`` by CPUID;
   pin a tier with ``REPRO_SIMD``, see
-  :func:`apply_simd_override`) and can fan one scan across an internal
-  pthread pool (the sharded layer's ``"native"`` executor).  Optional:
+  :func:`apply_simd_override`).  Optional:
   built by ``setup.py`` when a compiler is present, degrading to numpy
   with a one-time :class:`NativeFallbackWarning` otherwise.
 
 Either backend can additionally be **sharded**
 (:mod:`~repro.core.kernels.sharded`): the set axis is partitioned into
-contiguous ranges, every batched statistic runs per shard on a worker
-pool, and the per-shard results merge exactly (counts are additive across
-set ranges) — ``SetCollection(..., shards=N)`` or
-``SessionEngine(..., shards=N)``.
+contiguous ranges, every batched statistic runs per shard, and the
+per-shard results merge exactly (counts are additive across set ranges)
+— ``SetCollection(..., shards=N)`` or ``SessionEngine(..., shards=N)``.
+Shards run on a thread pool (``shard_executor="thread"``, the default) or
+one after another (``"serial"``).
 
 Backend choice: ``SetCollection(..., backend=...)`` accepts ``"bigint"``,
 ``"numpy"``, ``"native"`` or ``"auto"`` (the default).  ``auto`` honours
@@ -69,11 +69,7 @@ from .scoring import (
     select_best_many,
     sort_most_even,
 )
-from .sharded import (
-    SHARD_EXECUTOR_ENV_VAR,
-    ShardedKernel,
-    ShardExecutorFallbackWarning,
-)
+from .sharded import SHARD_EXECUTOR_ENV_VAR, ShardedKernel
 from .tuning import (
     DEFAULT_AUTO_MIN_CELLS,
     TUNING_ENV_VAR,
@@ -199,8 +195,8 @@ def make_kernel(
     unconditionally.
 
     ``shards`` > 1 wraps the chosen backend in a :class:`ShardedKernel`
-    (set-range shards on a worker pool, ``shard_executor`` selecting the
-    pool kind); collections too small to split stay unsharded.
+    (set-range shards; ``shard_executor`` is ``"thread"`` or ``"serial"``);
+    collections too small to split stay unsharded.
     """
     env_value = (os.environ.get(BACKEND_ENV_VAR, "auto") or "auto").lower()
     explicit = requested not in (None, "auto") or env_value != "auto"
@@ -290,7 +286,6 @@ __all__ = [
     "NumpyKernel",
     "SHARD_EXECUTOR_ENV_VAR",
     "SIMD_ENV_VAR",
-    "ShardExecutorFallbackWarning",
     "ShardedKernel",
     "SimdFallbackWarning",
     "TUNING_ENV_VAR",

@@ -8,7 +8,8 @@
  * replaces the numpy ufunc pipeline (broadcast AND materialising a
  * temporary, bitwise_count materialising another, then a sum reduction)
  * with single fused C passes that allocate nothing and release the GIL —
- * which is what lets the sharded kernel's thread pool scale on columns.
+ * which is what lets the sharded kernel's "thread" executor (the one
+ * parallel shard executor; "serial" is the other) scale on columns.
  *
  * The dense word sweeps are runtime-dispatched across up to three SIMD
  * tiers (scalar popcnt, AVX2 vpshufb-lookup, AVX-512 vpopcntq) compiled
@@ -18,12 +19,6 @@
  * set_simd_level() expose and override the choice, and the Python loader
  * honors REPRO_SIMD=scalar|avx2|avx512.  Every tier computes exact
  * integer popcounts, so results are byte-identical across tiers.
- *
- * scan_informative_threaded() additionally partitions the set-axis
- * columns (words) of a stacked scan across an internal pthread pool
- * inside one GIL-releasing call: each worker popcounts its word band
- * into per-band partial counts and the caller merges and filters in C —
- * no Python futures, no per-shard GIL round-trips.
  *
  * All arguments are plain buffer-protocol objects (numpy arrays, bytes,
  * memoryviews): no numpy C API, no compile-time dependency beyond the
@@ -41,15 +36,9 @@
 #include <Python.h>
 
 #include <stdint.h>
-#include <stdlib.h>
 #include <string.h>
 
 #include "_simd.h"
-
-#if !defined(_WIN32)
-#define REPRO_HAVE_PTHREADS 1
-#include <pthread.h>
-#endif
 
 #if defined(__GNUC__) || defined(__clang__)
 #define POPCOUNT64(x) ((int64_t)__builtin_popcountll(x))
@@ -351,9 +340,7 @@ scan_one(const repro_simd_ops *ops, const uint64_t *matrix,
     return kept;
 }
 
-/* Serial stacked scan body, shared by scan_informative_many and the
- * n_parts<=1 degenerate case of the threaded entry so both are the same
- * code path by construction. */
+/* Stacked scan body of scan_informative_many: one scan_one per mask. */
 static Py_ssize_t
 scan_many_serial(const repro_simd_ops *ops, const uint64_t *matrix,
                  Py_ssize_t n_rows, Py_ssize_t n_words,
@@ -374,191 +361,6 @@ scan_many_serial(const repro_simd_ops *ops, const uint64_t *matrix,
     }
     return total;
 }
-
-/* ------------------------------------------------------------------ */
-/* Internal pthread pool for the column-partitioned threaded scan     */
-/* ------------------------------------------------------------------ */
-
-/* Word-axis partitioning caps: a scan is split into at most this many
- * bands (the caller's thread plus pool workers). */
-#define REPRO_MAX_SCAN_PARTS 16
-
-typedef struct {
-    const repro_simd_ops *ops;
-    const uint64_t *matrix;
-    Py_ssize_t n_rows;
-    Py_ssize_t n_words;
-    const uint64_t *masks; /* chunk base: n_masks stacked word vectors */
-    Py_ssize_t n_masks;
-    int64_t *partial; /* n_masks x n_parts x n_rows partial counts */
-    int n_parts;
-    Py_ssize_t wbounds[REPRO_MAX_SCAN_PARTS + 1];
-} scan_job;
-
-/* One worker's share: popcount every row's word band [wbounds[part],
- * wbounds[part+1]) against each mask in the chunk, into its stripe of
- * the partial-count buffer.  Counts over disjoint word bands add up
- * exactly, so the merged result is bit-identical to a serial scan. */
-static void
-scan_job_part(const scan_job *job, int part)
-{
-    Py_ssize_t w_lo = job->wbounds[part];
-    Py_ssize_t w_hi = job->wbounds[part + 1];
-    Py_ssize_t width = w_hi - w_lo;
-    Py_ssize_t *nz =
-        malloc(sizeof(Py_ssize_t) * (size_t)(width > 0 ? width : 1));
-    for (Py_ssize_t s = 0; s < job->n_masks; s++) {
-        const uint64_t *mask = job->masks + s * job->n_words + w_lo;
-        int64_t *out = job->partial +
-                       ((size_t)s * (size_t)job->n_parts + (size_t)part) *
-                           (size_t)job->n_rows;
-        Py_ssize_t n_nz = nz != NULL ? nonzero_words(mask, width, nz) : -1;
-        if (n_nz == 0) {
-            memset(out, 0, sizeof(int64_t) * (size_t)job->n_rows);
-            continue;
-        }
-        if (n_nz > 0 && 2 * n_nz < width) {
-            for (Py_ssize_t r = 0; r < job->n_rows; r++) {
-                out[r] = row_count_sparse(
-                    job->matrix + r * job->n_words + w_lo, mask, nz, n_nz);
-            }
-        } else {
-            for (Py_ssize_t r = 0; r < job->n_rows; r++) {
-                out[r] = job->ops->row_count(
-                    job->matrix + r * job->n_words + w_lo, mask, width);
-            }
-        }
-    }
-    free(nz);
-}
-
-#ifdef REPRO_HAVE_PTHREADS
-
-static struct {
-    int n_workers;
-    pthread_t tids[REPRO_MAX_SCAN_PARTS - 1];
-    pthread_mutex_t lock;
-    pthread_cond_t job_ready;
-    pthread_cond_t job_done;
-    uint64_t generation;
-    int pending;
-    int shutdown;
-    scan_job job;
-} scan_pool = {
-    .lock = PTHREAD_MUTEX_INITIALIZER,
-    .job_ready = PTHREAD_COND_INITIALIZER,
-    .job_done = PTHREAD_COND_INITIALIZER,
-};
-
-/* Serialises whole threaded scans: concurrent Python threads queue here
- * rather than interleaving jobs on the shared pool. */
-static pthread_mutex_t scan_entry_lock = PTHREAD_MUTEX_INITIALIZER;
-
-static void *
-scan_worker_main(void *arg)
-{
-    int index = (int)(intptr_t)arg;
-    uint64_t seen = 0;
-    pthread_mutex_lock(&scan_pool.lock);
-    for (;;) {
-        while (!scan_pool.shutdown && scan_pool.generation == seen) {
-            pthread_cond_wait(&scan_pool.job_ready, &scan_pool.lock);
-        }
-        if (scan_pool.shutdown) {
-            break;
-        }
-        seen = scan_pool.generation;
-        scan_job job = scan_pool.job; /* copy under the lock */
-        pthread_mutex_unlock(&scan_pool.lock);
-        int part = index + 1; /* part 0 belongs to the dispatching thread */
-        if (part < job.n_parts) {
-            scan_job_part(&job, part);
-        }
-        pthread_mutex_lock(&scan_pool.lock);
-        if (part < job.n_parts) {
-            if (--scan_pool.pending == 0) {
-                pthread_cond_signal(&scan_pool.job_done);
-            }
-        }
-    }
-    pthread_mutex_unlock(&scan_pool.lock);
-    return NULL;
-}
-
-/* Grow the pool to at least `needed` workers; returns how many exist
- * (thread-creation failure degrades the scan, it does not error). */
-static int
-scan_pool_ensure(int needed)
-{
-    if (needed > REPRO_MAX_SCAN_PARTS - 1) {
-        needed = REPRO_MAX_SCAN_PARTS - 1;
-    }
-    pthread_mutex_lock(&scan_pool.lock);
-    while (scan_pool.n_workers < needed) {
-        int i = scan_pool.n_workers;
-        if (pthread_create(&scan_pool.tids[i], NULL, scan_worker_main,
-                           (void *)(intptr_t)i) != 0) {
-            break;
-        }
-        scan_pool.n_workers++;
-    }
-    int have = scan_pool.n_workers;
-    pthread_mutex_unlock(&scan_pool.lock);
-    return have;
-}
-
-static void
-scan_pool_run(const scan_job *job)
-{
-    pthread_mutex_lock(&scan_pool.lock);
-    scan_pool.job = *job;
-    scan_pool.pending = job->n_parts - 1;
-    scan_pool.generation++;
-    pthread_cond_broadcast(&scan_pool.job_ready);
-    pthread_mutex_unlock(&scan_pool.lock);
-    scan_job_part(job, 0);
-    pthread_mutex_lock(&scan_pool.lock);
-    while (scan_pool.pending > 0) {
-        pthread_cond_wait(&scan_pool.job_done, &scan_pool.lock);
-    }
-    pthread_mutex_unlock(&scan_pool.lock);
-}
-
-/* After fork() only the calling thread survives; reset the pool state in
- * the child so a later threaded scan lazily respawns workers instead of
- * deadlocking on a barrier nobody will signal.  (The fork-based process
- * executors fork from Python while no scan is in flight.) */
-static void
-scan_pool_atfork_child(void)
-{
-    scan_pool.n_workers = 0;
-    scan_pool.pending = 0;
-    scan_pool.generation = 0;
-    scan_pool.shutdown = 0;
-    pthread_mutex_init(&scan_pool.lock, NULL);
-    pthread_cond_init(&scan_pool.job_ready, NULL);
-    pthread_cond_init(&scan_pool.job_done, NULL);
-    pthread_mutex_init(&scan_entry_lock, NULL);
-}
-
-static void
-scan_pool_shutdown(void)
-{
-    pthread_mutex_lock(&scan_pool.lock);
-    int n = scan_pool.n_workers;
-    if (n > 0) {
-        scan_pool.shutdown = 1;
-        pthread_cond_broadcast(&scan_pool.job_ready);
-    }
-    pthread_mutex_unlock(&scan_pool.lock);
-    for (int i = 0; i < n; i++) {
-        pthread_join(scan_pool.tids[i], NULL);
-    }
-    scan_pool.n_workers = 0;
-    scan_pool.shutdown = 0;
-}
-
-#endif /* REPRO_HAVE_PTHREADS */
 
 /* ------------------------------------------------------------------ */
 /* Python entry points                                                */
@@ -892,219 +694,6 @@ err_matrix:
     return NULL;
 }
 
-PyDoc_STRVAR(
-    scan_informative_threaded_doc,
-    "scan_informative_threaded(matrix, n_words, masks, ns, n_threads,"
-    " out_rows, out_counts, out_indptr)\n--\n\n"
-    "scan_informative_many with the word axis partitioned across an\n"
-    "internal pthread pool inside one GIL release: each thread popcounts\n"
-    "its word band into partial counts, the caller merges and filters in\n"
-    "C.  Exact-integer merge keeps results byte-identical to the serial\n"
-    "scan.  n_threads <= 1 (or platforms without pthreads) runs the\n"
-    "serial body.  Returns the total kept.");
-
-static PyObject *
-scan_informative_threaded(PyObject *self, PyObject *args)
-{
-    PyObject *matrix_o, *masks_o, *ns_o, *out_rows_o, *out_counts_o,
-        *indptr_o;
-    Py_ssize_t n_words, n_threads;
-    if (!PyArg_ParseTuple(args, "OnOOnOOO", &matrix_o, &n_words, &masks_o,
-                          &ns_o, &n_threads, &out_rows_o, &out_counts_o,
-                          &indptr_o)) {
-        return NULL;
-    }
-    Py_buffer matrix, masks, ns, out_rows, out_counts, indptr;
-    Py_ssize_t n_matrix, n_mask_words, n_ns, n_or, n_oc, n_ip;
-    if (n_words <= 0) {
-        PyErr_SetString(PyExc_ValueError, "n_words must be positive");
-        return NULL;
-    }
-    if (n_threads < 1) {
-        PyErr_SetString(PyExc_ValueError, "n_threads must be >= 1");
-        return NULL;
-    }
-    if (get_words(matrix_o, &matrix, 0, "matrix", &n_matrix) != 0) {
-        return NULL;
-    }
-    if (get_words(masks_o, &masks, 0, "masks", &n_mask_words) != 0) {
-        goto err_matrix;
-    }
-    if (get_words(ns_o, &ns, 0, "ns", &n_ns) != 0) {
-        goto err_masks;
-    }
-    if (get_words(out_rows_o, &out_rows, 1, "out_rows", &n_or) != 0) {
-        goto err_ns;
-    }
-    if (get_words(out_counts_o, &out_counts, 1, "out_counts", &n_oc) != 0) {
-        goto err_out_rows;
-    }
-    if (get_words(indptr_o, &indptr, 1, "out_indptr", &n_ip) != 0) {
-        goto err_out_counts;
-    }
-    if (n_matrix % n_words != 0 || n_mask_words % n_words != 0) {
-        PyErr_SetString(PyExc_ValueError,
-                        "matrix/masks length not a multiple of n_words");
-        goto err_indptr;
-    }
-    {
-        Py_ssize_t n_rows = n_matrix / n_words;
-        Py_ssize_t n_masks = n_mask_words / n_words;
-        if (check_len(n_ns, n_masks, "ns") != 0 ||
-            check_len(n_or, n_masks * n_rows, "out_rows") != 0 ||
-            check_len(n_oc, n_masks * n_rows, "out_counts") != 0 ||
-            check_len(n_ip, n_masks + 1, "out_indptr") != 0) {
-            goto err_indptr;
-        }
-        const repro_simd_ops *ops = g_ops;
-
-        int n_parts = 1;
-#ifdef REPRO_HAVE_PTHREADS
-        n_parts = n_threads > REPRO_MAX_SCAN_PARTS ? REPRO_MAX_SCAN_PARTS
-                                                   : (int)n_threads;
-        if ((Py_ssize_t)n_parts > n_words) {
-            n_parts = (int)n_words;
-        }
-        if (n_rows == 0 || n_masks == 0) {
-            n_parts = 1;
-        }
-        if (n_parts > 1) {
-            n_parts = scan_pool_ensure(n_parts - 1) + 1;
-        }
-#endif
-        if (n_parts <= 1) {
-            /* Degenerate case: same code path as scan_informative_many. */
-            Py_ssize_t *nz =
-                PyMem_Malloc(sizeof(Py_ssize_t) * (size_t)n_words);
-            if (nz == NULL) {
-                PyErr_NoMemory();
-                goto err_indptr;
-            }
-            Py_ssize_t total;
-            Py_BEGIN_ALLOW_THREADS;
-            total = scan_many_serial(ops, matrix.buf, n_rows, n_words,
-                                     masks.buf, n_masks, ns.buf, nz,
-                                     out_rows.buf, out_counts.buf,
-                                     indptr.buf);
-            Py_END_ALLOW_THREADS;
-            PyMem_Free(nz);
-            PyBuffer_Release(&indptr);
-            PyBuffer_Release(&out_counts);
-            PyBuffer_Release(&out_rows);
-            PyBuffer_Release(&ns);
-            PyBuffer_Release(&masks);
-            PyBuffer_Release(&matrix);
-            return PyLong_FromSsize_t(total);
-        }
-#ifdef REPRO_HAVE_PTHREADS
-        /* Chunk masks so the partial-count buffer stays bounded
-         * (~8 MiB): chunk x n_parts x n_rows int64 partials. */
-        Py_ssize_t budget_elems = (8 << 20) / (Py_ssize_t)sizeof(int64_t);
-        Py_ssize_t chunk = budget_elems / ((Py_ssize_t)n_parts * n_rows);
-        if (chunk < 1) {
-            chunk = 1;
-        }
-        if (chunk > n_masks) {
-            chunk = n_masks;
-        }
-        int64_t *partial = PyMem_Malloc(sizeof(int64_t) * (size_t)chunk *
-                                        (size_t)n_parts * (size_t)n_rows);
-        if (partial == NULL) {
-            PyErr_NoMemory();
-            goto err_indptr;
-        }
-        Py_ssize_t total = 0;
-        Py_BEGIN_ALLOW_THREADS;
-        pthread_mutex_lock(&scan_entry_lock);
-        scan_job job;
-        job.ops = ops;
-        job.matrix = matrix.buf;
-        job.n_rows = n_rows;
-        job.n_words = n_words;
-        job.partial = partial;
-        job.n_parts = n_parts;
-        for (int p = 0; p <= n_parts; p++) {
-            job.wbounds[p] = n_words * (Py_ssize_t)p / (Py_ssize_t)n_parts;
-        }
-        const uint64_t *mask_base = masks.buf;
-        const int64_t *ns_base = ns.buf;
-        int64_t *or_base = out_rows.buf;
-        int64_t *oc_base = out_counts.buf;
-        int64_t *ip = indptr.buf;
-        ip[0] = 0;
-        for (Py_ssize_t s0 = 0; s0 < n_masks; s0 += chunk) {
-            Py_ssize_t sc = n_masks - s0;
-            if (sc > chunk) {
-                sc = chunk;
-            }
-            job.masks = mask_base + s0 * n_words;
-            job.n_masks = sc;
-            scan_pool_run(&job);
-            for (Py_ssize_t s = 0; s < sc; s++) {
-                int64_t n_selected = ns_base[s0 + s];
-                int64_t *acc = partial + (size_t)s * (size_t)n_parts *
-                                             (size_t)n_rows;
-                for (int p = 1; p < n_parts; p++) {
-                    const int64_t *pp = acc + (size_t)p * (size_t)n_rows;
-                    for (Py_ssize_t r = 0; r < n_rows; r++) {
-                        acc[r] += pp[r];
-                    }
-                }
-                for (Py_ssize_t r = 0; r < n_rows; r++) {
-                    int64_t c = acc[r];
-                    if (c > 0 && c < n_selected) {
-                        or_base[total] = r;
-                        oc_base[total] = c;
-                        total++;
-                    }
-                }
-                ip[s0 + s + 1] = total;
-            }
-        }
-        pthread_mutex_unlock(&scan_entry_lock);
-        Py_END_ALLOW_THREADS;
-        PyMem_Free(partial);
-        PyBuffer_Release(&indptr);
-        PyBuffer_Release(&out_counts);
-        PyBuffer_Release(&out_rows);
-        PyBuffer_Release(&ns);
-        PyBuffer_Release(&masks);
-        PyBuffer_Release(&matrix);
-        return PyLong_FromSsize_t(total);
-#endif
-    }
-
-err_indptr:
-    PyBuffer_Release(&indptr);
-err_out_counts:
-    PyBuffer_Release(&out_counts);
-err_out_rows:
-    PyBuffer_Release(&out_rows);
-err_ns:
-    PyBuffer_Release(&ns);
-err_masks:
-    PyBuffer_Release(&masks);
-err_matrix:
-    PyBuffer_Release(&matrix);
-    return NULL;
-}
-
-PyDoc_STRVAR(threaded_scan_available_doc,
-             "threaded_scan_available()\n--\n\n"
-             "True when the in-C pthread-pool scan is compiled in\n"
-             "(everywhere but Windows; the entry point itself always\n"
-             "works, degrading to the serial body).");
-
-static PyObject *
-threaded_scan_available(PyObject *self, PyObject *noargs)
-{
-#ifdef REPRO_HAVE_PTHREADS
-    Py_RETURN_TRUE;
-#else
-    Py_RETURN_FALSE;
-#endif
-}
-
 PyDoc_STRVAR(and_rows_doc,
              "and_rows(matrix, n_words, rows, mask_words, out)\n--\n\n"
              "out[i] = matrix[rows[i]] & mask_words, one word vector per\n"
@@ -1195,10 +784,6 @@ static PyMethodDef native_methods[] = {
      scan_informative_doc},
     {"scan_informative_many", scan_informative_many, METH_VARARGS,
      scan_informative_many_doc},
-    {"scan_informative_threaded", scan_informative_threaded, METH_VARARGS,
-     scan_informative_threaded_doc},
-    {"threaded_scan_available", threaded_scan_available, METH_NOARGS,
-     threaded_scan_available_doc},
     {"and_rows", and_rows, METH_VARARGS, and_rows_doc},
     {"simd_level", simd_level_fn, METH_NOARGS, simd_level_doc},
     {"available_simd_levels", available_simd_levels_fn, METH_NOARGS,
@@ -1206,15 +791,6 @@ static PyMethodDef native_methods[] = {
     {"set_simd_level", set_simd_level_fn, METH_VARARGS, set_simd_level_doc},
     {NULL, NULL, 0, NULL},
 };
-
-static void
-native_module_free(void *mod)
-{
-    (void)mod;
-#ifdef REPRO_HAVE_PTHREADS
-    scan_pool_shutdown();
-#endif
-}
 
 static struct PyModuleDef native_module = {
     PyModuleDef_HEAD_INIT,
@@ -1225,7 +801,7 @@ static struct PyModuleDef native_module = {
     NULL, /* m_slots */
     NULL, /* m_traverse */
     NULL, /* m_clear */
-    native_module_free,
+    NULL, /* m_free */
 };
 
 PyMODINIT_FUNC
@@ -1243,12 +819,5 @@ PyInit__nativeext(void)
             break;
         }
     }
-#ifdef REPRO_HAVE_PTHREADS
-    static int atfork_registered = 0;
-    if (!atfork_registered) {
-        pthread_atfork(NULL, NULL, scan_pool_atfork_child);
-        atfork_registered = 1;
-    }
-#endif
     return PyModule_Create(&native_module);
 }

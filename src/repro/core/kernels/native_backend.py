@@ -6,8 +6,9 @@ replaces only the row-pass hot loops with the compiled primitives of
 :mod:`repro.core.kernels._native`: one fused AND+popcount+filter sweep per
 call instead of numpy's three-ufunc pipeline with its two temporaries.  The
 C passes release the GIL, so a :class:`~repro.core.kernels.sharded.ShardedKernel`
-with native sub-kernels genuinely runs its column shards in parallel on a
-thread pool.
+with native sub-kernels genuinely runs its column shards in parallel under
+its ``"thread"`` executor (the other shard executor, ``"serial"``, runs
+them one after another).
 
 The backend is gated exactly like numpy: ``SetCollection(backend="native")``
 or ``REPRO_BACKEND=native`` requests it explicitly, ``auto`` prefers it
@@ -37,22 +38,9 @@ HAS_NATIVE = HAS_NATIVE_EXT and HAS_NUMPY
 
 
 class NativeKernel(NumpyKernel):
-    """Entity statistics via fused C popcount passes over the bit-matrix.
-
-    ``scan_threads > 1`` additionally routes full-matrix scans through the
-    extension's in-C pthread pool (``scan_informative_threaded``): the
-    word axis is partitioned into bands popcounted concurrently inside one
-    GIL release, with the exact-integer merge and the informative filter
-    applied in C.  Dispatch is gated on the calibrated
-    ``tuning.thread_min_cells`` crossover — small scans stay serial —
-    and every path returns bit-identical results.
-    """
+    """Entity statistics via fused C popcount passes over the bit-matrix."""
 
     name = "native"
-
-    #: Class-level default so instances built via ``__new__`` (the
-    #: ``from_delta`` path) stay serial unless the builder re-sets it.
-    _scan_threads = 1
 
     def __init__(
         self,
@@ -60,7 +48,6 @@ class NativeKernel(NumpyKernel):
         entity_masks: dict[int, int],
         n_sets: int,
         tuning: "KernelTuning | None" = None,
-        scan_threads: int = 1,
     ) -> None:
         if not HAS_NATIVE:  # pragma: no cover - guarded by resolve_backend_name
             raise RuntimeError(
@@ -68,14 +55,6 @@ class NativeKernel(NumpyKernel):
                 "(python setup.py build_ext --inplace) and numpy"
             )
         super().__init__(sets, entity_masks, n_sets, tuning=tuning)
-        self._scan_threads = max(1, int(scan_threads))
-
-    def _scan_parts(self, n_rows: int) -> int:
-        """Bands for a full scan: ``scan_threads``, or 1 below crossover."""
-        t = self._scan_threads
-        if t <= 1 or n_rows * self._n_words < self._tuning.thread_min_cells:
-            return 1
-        return t
 
     # ------------------------------------------------------------------ #
     # Routing: same cost model, native row-pass unit cost
@@ -144,29 +123,14 @@ class NativeKernel(NumpyKernel):
             # detour through for mid-size masks.
             out_rows = np.empty(n_rows, dtype=np.int64)
             out_counts = np.empty(n_rows, dtype=np.int64)
-            parts = self._scan_parts(n_rows)
-            if parts > 1:
-                indptr = np.empty(2, dtype=np.int64)
-                _ext.scan_informative_threaded(
-                    self._matrix,
-                    self._n_words,
-                    self._stack_words([mask]),
-                    np.array([n_selected], dtype=np.int64),
-                    parts,
-                    out_rows,
-                    out_counts,
-                    indptr,
-                )
-                kept = int(indptr[1])
-            else:
-                kept = _ext.scan_informative(
-                    self._matrix,
-                    self._n_words,
-                    self._words_of(mask),
-                    n_selected,
-                    out_rows,
-                    out_counts,
-                )
+            kept = _ext.scan_informative(
+                self._matrix,
+                self._n_words,
+                self._words_of(mask),
+                n_selected,
+                out_rows,
+                out_counts,
+            )
             return (
                 self._row_eids[out_rows[:kept]],
                 out_counts[:kept].copy(),
@@ -196,7 +160,6 @@ class NativeKernel(NumpyKernel):
         n_rows = len(self._row_eids)
         per_mask = max(n_rows * 16, 1)  # out_rows + out_counts, int64 each
         chunk = max(1, _STACKED_SCAN_BUDGET // per_mask)
-        parts = self._scan_parts(n_rows)
         for start in range(0, len(rows), chunk):
             block = rows[start : start + chunk]
             words = self._stack_words([masks[i] for i in block])
@@ -206,27 +169,15 @@ class NativeKernel(NumpyKernel):
             out_rows = np.empty(len(block) * n_rows, dtype=np.int64)
             out_counts = np.empty(len(block) * n_rows, dtype=np.int64)
             indptr = np.empty(len(block) + 1, dtype=np.int64)
-            if parts > 1:
-                _ext.scan_informative_threaded(
-                    self._matrix,
-                    self._n_words,
-                    words,
-                    ns_arr,
-                    parts,
-                    out_rows,
-                    out_counts,
-                    indptr,
-                )
-            else:
-                _ext.scan_informative_many(
-                    self._matrix,
-                    self._n_words,
-                    words,
-                    ns_arr,
-                    out_rows,
-                    out_counts,
-                    indptr,
-                )
+            _ext.scan_informative_many(
+                self._matrix,
+                self._n_words,
+                words,
+                ns_arr,
+                out_rows,
+                out_counts,
+                indptr,
+            )
             for j, i in enumerate(block):
                 lo, hi = int(indptr[j]), int(indptr[j + 1])
                 # copies: results outlive the (chunk x n_rows) scratch

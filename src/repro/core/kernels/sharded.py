@@ -23,44 +23,18 @@ sliced sets, so the per-shard work reuses all single-kernel routing
 (chunked row passes, the set-major CSR gather, fused C sweeps).  Workers
 default to a thread pool — NumPy's AND/popcount ufuncs and the native
 extension's C passes release the GIL, so column shards genuinely
-overlap — with a ``concurrent.futures`` **process pool** available behind
-``executor="process"`` / ``$REPRO_SHARD_EXECUTOR=process`` (fork start
-method; falls back to threads where fork is unavailable), and ``"serial"``
-for deterministic debugging of the merge itself.
-
-Two further executors trade the Python-level fan-out away entirely:
-
-* ``executor="native"`` (native base only) keeps **one full-width**
-  :class:`~repro.core.kernels.native_backend.NativeKernel` and hands the
-  requested parallelism to the extension's internal pthread pool
-  (``scan_informative_threaded``): full-matrix scans partition the word
-  axis across C threads inside a single GIL release, with the merge done
-  in C — no per-shard slicing, no futures, no Python round-trips.  With a
-  non-native base, or a build without the pthread pool, it degrades to
-  ``"thread"`` with a one-time :class:`ShardExecutorFallbackWarning`.
-* ``executor="shm"`` (vectorized bases) publishes each shard's packed
-  bit-matrix into a :mod:`multiprocessing.shared_memory` segment and pins
-  one worker process per shard that attaches the segment **once**
-  (:mod:`~repro.core.kernels.shm`): per-call traffic is masks and result
-  vectors, never matrix bytes, and ``from_delta`` re-publishes only dirty
-  shards.  Requires fork and numpy (degrades to ``"thread"`` otherwise);
-  the big-int base has no matrix to share and raises ``ValueError``.
-
-All five executors produce bit-identical results — the executor moves
-work, never semantics.
+overlap — and ``"serial"`` runs the shards one after another, for
+deterministic debugging of the merge itself.  Both executors produce
+bit-identical results: the executor moves work, never semantics.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
-import weakref
 from bisect import bisect_right
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable, Sequence
 
-from . import shm as _shm
-from ._native import ext as _ext
 from .base import EntityStatsKernel, KernelDelta
 from .bigint import BigIntKernel
 from .native_backend import HAS_NATIVE, NativeKernel
@@ -75,72 +49,13 @@ except ImportError:  # pragma: no cover - exercised only without numpy
 #: Environment variable consulted when no explicit executor is requested.
 SHARD_EXECUTOR_ENV_VAR = "REPRO_SHARD_EXECUTOR"
 
-_EXECUTORS = ("thread", "process", "serial", "native", "shm")
-
-
-class ShardExecutorFallbackWarning(RuntimeWarning):
-    """Emitted once when a requested shard executor cannot run here.
-
-    ``"native"`` needs the native base *and* a build whose extension
-    carries the pthread scan pool; ``"shm"`` needs fork, numpy and the
-    stdlib shared-memory module.  Either request degrades to the thread
-    executor — results are identical on every executor, so this is a
-    throughput downgrade, never a correctness change — and warns exactly
-    once per process so logs stay readable under multi-collection
-    serving.
-    """
-
-
-_executor_fallback_warned = False
-
-
-def _warn_executor_fallback(requested: str, reason: str) -> None:
-    global _executor_fallback_warned
-    if _executor_fallback_warned:
-        return
-    _executor_fallback_warned = True
-    import warnings
-
-    warnings.warn(
-        f"shard executor {requested!r} was requested but {reason}; "
-        "falling back to the 'thread' executor (results are identical "
-        "on every executor).",
-        ShardExecutorFallbackWarning,
-        stacklevel=3,
-    )
-
-#: Live kernels reachable by forked process-pool workers, by token.  The
-#: pool is created lazily *after* registration, so fork's copy-on-write
-#: snapshot always contains the kernel the tasks look up.  Weak-valued on
-#: purpose: a strong registry reference would keep an abandoned kernel —
-#: and its forked workers — alive forever (``__del__``, the automatic
-#: close path, would never run).  Inside a forked worker the inherited
-#: reference counts never drop, so the weak entry stays valid there.
-_FORK_REGISTRY: "weakref.WeakValueDictionary[int, ShardedKernel]" = (
-    weakref.WeakValueDictionary()
-)
-_next_token = itertools.count()
-
-
-def _fork_call(token: int, method: str, args: tuple):
-    """Process-pool trampoline: run a kernel method in a forked worker."""
-    return getattr(_FORK_REGISTRY[token], method)(*args)
-
-
-def _fork_available() -> bool:
-    import multiprocessing
-
-    return "fork" in multiprocessing.get_all_start_methods()
+_EXECUTORS = ("thread", "serial")
 
 
 def resolve_executor_name(requested: str | None = None) -> str:
     """Resolve an ``executor=`` argument (``None`` defers to the env var).
 
-    ``"process"`` and ``"shm"`` need the fork start method (and ``"shm"``
-    the stdlib shared-memory module plus numpy); where those are missing
-    the request degrades to ``"thread"``.  Base-dependent checks — the
-    ``"native"`` executor needs the native base and the pthread scan
-    pool — happen in :class:`ShardedKernel` itself, which knows the base.
+    Unknown names raise ``ValueError`` listing the choices.
     """
     if requested is None:
         requested = os.environ.get(SHARD_EXECUTOR_ENV_VAR, "thread") or "thread"
@@ -149,15 +64,6 @@ def resolve_executor_name(requested: str | None = None) -> str:
         raise ValueError(
             f"unknown shard executor {requested!r}; choose from {_EXECUTORS}"
         )
-    if requested == "process" and not _fork_available():  # pragma: no cover
-        return "thread"
-    if requested == "shm" and not (
-        _shm.HAS_SHM and _fork_available()
-    ):  # pragma: no cover - platform-dependent
-        _warn_executor_fallback(
-            "shm", "this platform lacks fork/shared-memory/numpy"
-        )
-        return "thread"
     return requested
 
 
@@ -168,27 +74,13 @@ class ShardedKernel(EntityStatsKernel):
     ----------
     shards:
         Requested shard count; capped at one set per shard.  The effective
-        count is exposed as :attr:`n_shards`.  Under the ``"native"``
-        executor this is the C thread count instead (no set-range split
-        happens), still reported via :attr:`n_shards` so delta rebuilds
-        preserve it.
+        count is exposed as :attr:`n_shards`.
     base:
         Inner backend per shard: ``"bigint"``, ``"numpy"`` or ``"native"``.
     executor:
-        ``"thread"`` (default), ``"process"`` (fork-based pool),
-        ``"serial"``, ``"native"`` (one full-width native kernel scanning
-        on the extension's internal pthread pool; native base only) or
-        ``"shm"`` (shard-pinned worker processes over shared-memory
-        segments; vectorized bases only).  ``None`` defers to
+        ``"thread"`` (default) or ``"serial"``.  ``None`` defers to
         ``$REPRO_SHARD_EXECUTOR``.
     """
-
-    #: Full-width kernel the ``"native"`` executor delegates to
-    #: (``None`` for every sharded executor).
-    _inner: "NativeKernel | None" = None
-    #: Per-shard :class:`~repro.core.kernels.shm.ShmWorker` handles
-    #: (``None`` entries are spawned lazily); only set by ``"shm"``.
-    _shm_workers: "list | None" = None
 
     def __init__(
         self,
@@ -209,47 +101,6 @@ class ShardedKernel(EntityStatsKernel):
             )
         self.base_name = base
         self.executor_kind = resolve_executor_name(executor)
-        if self.executor_kind == "native":
-            reason = None
-            if base != "native":
-                reason = f"the {base!r} base has no in-C threaded scan"
-            elif not _ext.threaded_scan_available():
-                reason = "this build lacks the pthread scan pool"
-            if reason is not None:
-                _warn_executor_fallback("native", reason)
-                self.executor_kind = "thread"
-            else:
-                threads = max(1, int(shards))
-                self._inner = NativeKernel(
-                    sets,
-                    entity_masks,
-                    n_sets,
-                    tuning=tuning,
-                    scan_threads=threads,
-                )
-                self._bounds = [(0, n_sets)]
-                self._shards = [self._inner]
-                self.n_shards = threads
-                self.name = f"native[t{threads}]"
-                self._all_eids = self._inner._row_eids
-                self._pool = None
-                self._token = None
-                return
-        if self.executor_kind == "shm" and base == "bigint":
-            if executor is None:
-                # The env var is a soft preference: a blanket
-                # $REPRO_SHARD_EXECUTOR=shm run must not crash the
-                # big-int kernels it cannot apply to.
-                _warn_executor_fallback(
-                    "shm", "the 'bigint' base has no packed matrix"
-                )
-                self.executor_kind = "thread"
-            else:
-                raise ValueError(
-                    "the shm shard executor requires a vectorized base "
-                    "(numpy or native): the big-int backend has no packed "
-                    "matrix to publish into shared memory"
-                )
         n = max(1, min(int(shards), max(n_sets, 1)))
         # Equal set ranges; exact for any split because each shard repacks
         # its slice of the index (no word alignment required).
@@ -282,13 +133,7 @@ class ShardedKernel(EntityStatsKernel):
             )
         else:
             self._all_eids = sorted(entity_masks)
-        self._pool = None
-        self._token: int | None = None
-        if self.executor_kind == "process":
-            self._token = next(_next_token)
-            _FORK_REGISTRY[self._token] = self
-        elif self.executor_kind == "shm":
-            self._shm_workers = [None] * self.n_shards
+        self._pool: ThreadPoolExecutor | None = None
 
     # ------------------------------------------------------------------ #
     # Copy-on-write delta construction
@@ -324,27 +169,6 @@ class ShardedKernel(EntityStatsKernel):
         """
         if n_sets <= old._bounds[-1][0] or n_sets <= 1:
             return None
-        if old._inner is not None:
-            # Native executor: one full-width kernel, so the delta applies
-            # directly via the matrix-patching constructor; the C thread
-            # count carries over (it lives on the instance, not in bounds).
-            self = cls.__new__(cls)
-            EntityStatsKernel.__init__(self, sets, entity_masks, n_sets)
-            self.base_name = old.base_name
-            self.executor_kind = "native"
-            inner = NativeKernel.from_delta(
-                old._inner, sets, entity_masks, n_sets, delta
-            )
-            inner._scan_threads = old._inner._scan_threads
-            self._inner = inner
-            self._bounds = [(0, n_sets)]
-            self._shards = [inner]
-            self.n_shards = old.n_shards
-            self.name = old.name
-            self._all_eids = inner._row_eids
-            self._pool = None
-            self._token = None
-            return self
         self = cls.__new__(cls)
         EntityStatsKernel.__init__(self, sets, entity_masks, n_sets)
         self.base_name = old.base_name
@@ -400,115 +224,31 @@ class ShardedKernel(EntityStatsKernel):
         else:
             self._all_eids = old._all_eids
         self._pool = None
-        self._token = None
-        if self.executor_kind == "process":
-            self._token = next(_next_token)
-            _FORK_REGISTRY[self._token] = self
-        elif self.executor_kind == "shm":
-            # Re-publish only dirty shards: a shard shared by identity with
-            # the parent still matches the bytes its pinned worker attached,
-            # so the new epoch takes an extra reference on that worker (and
-            # its segment) instead of respawning; rebuilt shards start with
-            # no worker and publish lazily on first parallel call.
-            self._shm_workers = [None] * self.n_shards
-            old_workers = old._shm_workers or []
-            for s in range(self.n_shards):
-                if (
-                    s < len(old_workers)
-                    and old_workers[s] is not None
-                    and s < old.n_shards
-                    and self._shards[s] is old._shards[s]
-                ):
-                    self._shm_workers[s] = old_workers[s].incref()
         return self
 
     # ------------------------------------------------------------------ #
     # Worker-pool plumbing
     # ------------------------------------------------------------------ #
 
-    def _ensure_pool(self):
-        if self._pool is None:
-            if self.executor_kind == "thread":
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.n_shards,
-                    thread_name_prefix="repro-shard",
-                )
-            else:  # process
-                import multiprocessing
-
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.n_shards,
-                    mp_context=multiprocessing.get_context("fork"),
-                )
-        return self._pool
-
-    def _ensure_shm_worker(self, shard: int) -> "_shm.ShmWorker":
-        """The pinned worker for ``shard``, publishing its segment on
-        first use (lazily, so epochs that never fan out spawn nothing)."""
-        if self._shm_workers is None:  # re-opened after close()
-            self._shm_workers = [None] * self.n_shards
-        worker = self._shm_workers[shard]
-        if worker is None:
-            import multiprocessing
-
-            worker = _shm.spawn_worker(
-                self, shard, multiprocessing.get_context("fork")
-            )
-            self._shm_workers[shard] = worker
-        return worker
-
-    def _run_shm(self, calls: "list[tuple[str, tuple]]") -> list:
-        """Fan calls out to the shard-pinned shm workers, then collect.
-
-        Submission acquires each worker's pipe lock in shard order and the
-        replies release them in the same order, so epochs sharing workers
-        serialize without deadlock; only masks and result vectors travel.
-        """
-        pending = [
-            self._ensure_shm_worker(args[0]).submit(
-                method, _shm.encode_args(args, self._all_eids)
-            )
-            for method, args in calls
-        ]
-        return [thunk() for thunk in pending]
-
     def _run(self, calls: "list[tuple[str, tuple]]") -> list:
         """Run ``(method name, args)`` tasks against self, one per shard."""
         if self.executor_kind == "serial" or len(calls) <= 1:
             return [getattr(self, method)(*args) for method, args in calls]
-        if self.executor_kind == "shm":
-            return self._run_shm(calls)
-        pool = self._ensure_pool()
-        if self.executor_kind == "process":
-            futures = [
-                pool.submit(_fork_call, self._token, method, args)
-                for method, args in calls
-            ]
-        else:
-            futures = [
-                pool.submit(getattr(self, method), *args)
-                for method, args in calls
-            ]
+        if self._pool is None:
+            self._pool = ThreadPoolExecutor(
+                max_workers=self.n_shards, thread_name_prefix="repro-shard"
+            )
+        futures = [
+            self._pool.submit(getattr(self, method), *args)
+            for method, args in calls
+        ]
         return [f.result() for f in futures]
 
     def close(self) -> None:
-        """Release worker pools, shm workers and the fork-registry slot.
-
-        Shm workers are reference-counted across epochs: this epoch's
-        references drop here, and whichever epoch releases a worker last
-        shuts the process down and unlinks its segment.
-        """
+        """Shut down the shard thread pool (it restarts lazily on use)."""
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        if self._token is not None:
-            _FORK_REGISTRY.pop(self._token, None)
-            self._token = None
-        if self._shm_workers is not None:
-            workers, self._shm_workers = self._shm_workers, None
-            for worker in workers:
-                if worker is not None:
-                    worker.decref()
 
     def __del__(self):  # pragma: no cover - interpreter-shutdown dependent
         try:
@@ -634,8 +374,6 @@ class ShardedKernel(EntityStatsKernel):
     # ------------------------------------------------------------------ #
 
     def positive_counts(self, mask: int, eids: Iterable[int]):
-        if self._inner is not None:
-            return self._inner.positive_counts(mask, eids)
         eids = self._materialize(eids)
         parts = self._run(
             [
@@ -651,8 +389,6 @@ class ShardedKernel(EntityStatsKernel):
     ) -> list:
         if not masks:
             return []
-        if self._inner is not None:
-            return self._inner.positive_counts_many(masks, eids)
         eids = self._materialize(eids)
         pairs = [(m, eids) for m in masks]
         parts = self._run(
@@ -669,8 +405,6 @@ class ShardedKernel(EntityStatsKernel):
     def partition_many(
         self, mask: int, eids: Iterable[int]
     ) -> list[tuple[int, int]]:
-        if self._inner is not None:
-            return self._inner.partition_many(mask, eids)
         eids = self._materialize(eids)
         shards = [s for s in range(self.n_shards) if self._slice(mask, s)]
         parts = self._run(
@@ -693,10 +427,6 @@ class ShardedKernel(EntityStatsKernel):
         n_selected: int,
         candidates: Iterable[int] | None,
     ) -> tuple[Sequence[int], Sequence[int]]:
-        if self._inner is not None:
-            # Native executor: the full-width kernel routes big scans
-            # through the extension's internal thread pool itself.
-            return self._inner.scan_informative(mask, n_selected, candidates)
         if candidates is None:
             eids = self._all_eids
             parts = self._run(
@@ -720,10 +450,6 @@ class ShardedKernel(EntityStatsKernel):
     ) -> list[tuple[Sequence[int], Sequence[int]]]:
         if not masks:
             return []
-        if self._inner is not None:
-            return self._inner.scan_informative_many(
-                masks, ns, candidates_list
-            )
         cands = candidates_list or [None] * len(masks)
         full_idx = [i for i in range(len(masks)) if cands[i] is None]
         cand_idx = [i for i in range(len(masks)) if cands[i] is not None]

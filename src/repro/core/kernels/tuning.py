@@ -60,14 +60,6 @@ DEFAULT_NATIVE_ROW_COST = 0.4
 #: walk is already free and the mirror build is pure overhead.
 CSR_MIN_MEMBERSHIP = 4096
 
-#: Uncalibrated crossover for the in-C threaded scan: bit-matrix cells
-#: (``n_entities * n_words``) a stacked scan must touch per mask before
-#: ``NativeKernel(scan_threads=N)`` dispatches the pthread pool instead
-#: of the serial sweep.  Below it the pool's wake/merge barrier costs
-#: more than the scan; threading never changes results, only which code
-#: path produces them.
-DEFAULT_THREAD_MIN_CELLS = 1 << 18
-
 #: Calibrated ``auto_min_cells`` is clamped into this range so that a noisy
 #: measurement can neither route toy collections (``tests`` worked
 #: examples) to numpy nor keep genuinely large matrices on the reference
@@ -86,12 +78,6 @@ MEMBER_COST_CLAMP = (0.25, 16.0)
 #: CSR-gather crossover the other way.
 NATIVE_ROW_COST_CLAMP = (1.0 / 64.0, 8.0)
 
-#: Clamp for the calibrated threaded-scan crossover.  The bottom keeps
-#: barrier-dominated toy scans serial even under a flattering
-#: measurement; the top is where calibration lands when threads cannot
-#: help at all (a single-core box), effectively disabling dispatch.
-THREAD_MIN_CELLS_CLAMP = (1 << 14, 1 << 26)
-
 
 @dataclass(frozen=True)
 class KernelTuning:
@@ -106,8 +92,10 @@ class KernelTuning:
     member_cost: float = DEFAULT_MEMBER_COST
     row_cost: float = DEFAULT_ROW_COST
     native_row_cost: float = DEFAULT_NATIVE_ROW_COST
-    thread_min_cells: int = DEFAULT_THREAD_MIN_CELLS
     source: str = "default"
+
+    #: Routes nothing; a class attribute the benchmark fingerprint records.
+    thread_min_cells = 1 << 18
 
 
 #: The uncalibrated fallback (legacy magic numbers).
@@ -240,7 +228,6 @@ def calibrate() -> KernelTuning:
     # Measured on the same mid-size full scan so the ratio captures the
     # marginal per-element cost; routing-only, like everything here.
     native_row_cost = DEFAULT_NATIVE_ROW_COST
-    thread_min_cells = DEFAULT_THREAD_MIN_CELLS
     from .native_backend import HAS_NATIVE, NativeKernel
 
     if HAS_NATIVE:
@@ -256,50 +243,10 @@ def calibrate() -> KernelTuning:
             max(native_unit / max(row_unit, 1e-12), lo_n), hi_n
         )
 
-        # -- threaded-scan crossover: pool barrier vs serial sweep ------- #
-        # The pthread pool's fixed cost per dispatch (wake, band merge) is
-        # measured directly by running the same stacked scan serially and
-        # with two bands on the calibration matrix (small enough that the
-        # barrier dominates).  Breakeven with T bands saves
-        # ``cells * native_unit * (1 - 1/T)``; solve at T=2.  On a
-        # single-core box threads cannot help, so the crossover pins to
-        # the top clamp (dispatch effectively disabled by default).
-        from ._native import ext as _ext
-
-        lo_t, hi_t = THREAD_MIN_CELLS_CLAMP
-        if _ext is not None and _ext.threaded_scan_available():
-            if (os.cpu_count() or 1) <= 1:
-                thread_min_cells = hi_t
-            else:
-                import numpy as _np
-
-                words = nat._stack_words([full])
-                ns_arr = _np.array([n_sets], dtype=_np.int64)
-                n_rows = len(nat._row_eids)
-                out_r = _np.empty(n_rows, dtype=_np.int64)
-                out_c = _np.empty(n_rows, dtype=_np.int64)
-                ip = _np.empty(2, dtype=_np.int64)
-                t_ser = _avg_seconds(
-                    lambda: _ext.scan_informative_many(
-                        nat._matrix, nat._n_words, words, ns_arr, out_r,
-                        out_c, ip,
-                    )
-                )
-                t_thr = _avg_seconds(
-                    lambda: _ext.scan_informative_threaded(
-                        nat._matrix, nat._n_words, words, ns_arr, 2, out_r,
-                        out_c, ip,
-                    )
-                )
-                overhead = max(t_thr - t_ser, 1e-7)
-                crossover_t = int(2.0 * overhead / max(native_unit, 1e-12))
-                thread_min_cells = min(max(crossover_t, lo_t), hi_t)
-
     return KernelTuning(
         auto_min_cells=auto_min_cells,
         member_cost=member_cost,
         row_cost=DEFAULT_ROW_COST,
         native_row_cost=native_row_cost,
-        thread_min_cells=thread_min_cells,
         source="calibrated",
     )

@@ -66,8 +66,8 @@ class SessionEngine:
         the sharded worker pool.  Transcripts stay bit-identical — the
         sharded kernels merge exact counts — only tick throughput changes.
     shard_executor:
-        Worker-pool kind for ``shards`` (``"thread"``/``"process"``/
-        ``"serial"``; ``None`` defers to ``$REPRO_SHARD_EXECUTOR``).
+        How the ``shards`` run (``"thread"`` or ``"serial"``; ``None``
+        defers to ``$REPRO_SHARD_EXECUTOR``).
         Given without ``shards``, it applies to the collection's current
         shard count (a no-op on unsharded collections).
     """

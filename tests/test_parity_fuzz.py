@@ -33,6 +33,7 @@ from repro.core.kernels import (
     HAS_NATIVE,
     HAS_NUMPY,
     KernelTuning,
+    ShardedKernel,
     select_best_many,
 )
 from repro.core.selection import InfoGainSelector, information_gain
@@ -69,18 +70,6 @@ def _variants():
             ),
             ("native-sharded", dict(backend="native", shards=4), None),
         ]
-        from repro.core.kernels._native import ext as _ext
-
-        if _ext.threaded_scan_available():
-            # The in-C pthread fan-out, forced on by a floor-zero
-            # crossover so even these tiny matrices take the banded path.
-            variants += [
-                (
-                    "native-threaded",
-                    dict(backend="native", shards=4, shard_executor="native"),
-                    KernelTuning(thread_min_cells=1),
-                ),
-            ]
     return variants
 
 
@@ -149,9 +138,6 @@ def _build(raw, kwargs, tuning):
     coll = SetCollection(raw, **kwargs)
     if tuning is not None:
         kernel = coll._kernel
-        # The "native" executor delegates to one full-width inner kernel;
-        # the override must land where the routing decisions are made.
-        kernel = getattr(kernel, "_inner", None) or kernel
         kernel._tuning = tuning
         # pre-build the CSR mirror so the single-mask crossover guard
         # (CSR_MIN_MEMBERSHIP) cannot veto the forced set-major route
@@ -264,30 +250,33 @@ def test_candidate_hints_and_selection_parity(seed):
             )
 
 
+#: Executors removed for losing to the thread pool; every entry point
+#: must reject them by name.
+REMOVED_EXECUTORS = ("process", "shm", "native")
+
+
 @pytest.mark.skipif(not HAS_NUMPY, reason="numpy backend unavailable")
-@pytest.mark.parametrize(
-    "executor", ["serial", "thread", "process", "shm", "native"]
-)
-def test_shard_executors_agree(executor):
-    """Every worker-pool kind produces the reference results."""
-    if executor == "native":
-        if not HAS_NATIVE:
-            pytest.skip("native extension not built")
-        from repro.core.kernels._native import ext as _ext
-
-        if not _ext.threaded_scan_available():
-            pytest.skip("this build lacks the pthread scan pool")
-    if executor == "shm":
-        from repro.core.kernels import shm as _shm
-        from repro.core.kernels.sharded import _fork_available
-
-        if not (_shm.HAS_SHM and _fork_available()):
-            pytest.skip("shm executor needs numpy, shared_memory and fork")
-    base = "native" if executor == "native" else "numpy"
+@pytest.mark.parametrize("executor", ["serial", "thread", *REMOVED_EXECUTORS])
+def test_shard_executors_agree(executor, monkeypatch):
+    """Every executor produces the reference results; removed names are
+    rejected, with the remaining choices, by every entry point."""
     raw = random_raw_sets(7)
     ref = SetCollection(raw, backend="bigint")
+    if executor in REMOVED_EXECUTORS:
+        choices = r"choose from \('thread', 'serial'\)"
+        with pytest.raises(ValueError, match=choices):
+            ShardedKernel(
+                ref._sets, ref._entity_masks, ref.n_sets, shards=3,
+                executor=executor,
+            )
+        with pytest.raises(ValueError, match=choices):
+            SetCollection(raw, backend="numpy", shards=3, shard_executor=executor)
+        monkeypatch.setenv("REPRO_SHARD_EXECUTOR", executor)
+        with pytest.raises(ValueError, match=choices):
+            SetCollection(raw, backend="numpy", shards=3)
+        return
     coll = SetCollection(
-        raw, backend=base, shards=3, shard_executor=executor
+        raw, backend="numpy", shards=3, shard_executor=executor
     )
     rng = random.Random(7)
     masks = word_boundary_masks(rng, ref.n_sets, ref.full_mask)
@@ -302,9 +291,9 @@ def test_simd_tier_parity(seed):
     """Every SIMD tier the build/CPU carries is bit-identical to bigint.
 
     The pinned tier is process-global, so the loop pins each tier in turn
-    and replays the same masks over a fresh native collection (plain and
-    in-C-threaded); the auto tier is restored afterwards.  Replay a
-    failure with the seed in the test id.
+    and replays the same masks over fresh native collections (plain and
+    sharded); the auto tier is restored afterwards.  Replay a failure with
+    the seed in the test id.
     """
     from repro.core.kernels._native import ext as _ext
 
@@ -316,15 +305,10 @@ def test_simd_tier_parity(seed):
     ref.clear_caches()
     ref_stacked = ref.informative_stats_many(masks)
     auto = _ext.simd_level()
-    variants = [("native", dict(backend="native"), None)]
-    if _ext.threaded_scan_available():
-        variants.append(
-            (
-                "native-threaded",
-                dict(backend="native", shards=4, shard_executor="native"),
-                KernelTuning(thread_min_cells=1),
-            )
-        )
+    variants = [
+        ("native", dict(backend="native"), None),
+        ("native-sharded", dict(backend="native", shards=4), None),
+    ]
     try:
         for tier in _ext.available_simd_levels():
             _ext.set_simd_level(tier)
@@ -351,62 +335,6 @@ def test_simd_tier_parity(seed):
                     )
     finally:
         _ext.set_simd_level(auto)
-
-
-@pytest.mark.skipif(not HAS_NUMPY, reason="numpy backend unavailable")
-@pytest.mark.parametrize("seed", range(0, N_SEEDS, 25))
-def test_shm_executor_fuzz(seed):
-    """Seeded adversarial collections through the shm worker processes.
-
-    A bounded seed subset (worker spawns are milliseconds, not
-    microseconds); the wide sweep runs in-process via the variants above.
-    Replay a failure with the seed in the test id.
-    """
-    from repro.core.kernels import shm as _shm
-    from repro.core.kernels.sharded import _fork_available
-
-    if not (_shm.HAS_SHM and _fork_available()):
-        pytest.skip("shm executor needs numpy, shared_memory and fork")
-    raw = random_raw_sets(seed)
-    ref = SetCollection(raw, backend="bigint")
-    rng = random.Random(seed ^ 0x5311)
-    masks = word_boundary_masks(rng, ref.n_sets, ref.full_mask)
-    probe_eids = list(range(-2, ref.n_entities + 3))
-    bases = ["numpy"] + (["native"] if HAS_NATIVE else [])
-    for base in bases:
-        coll = SetCollection(
-            raw, backend=base, shards=3, shard_executor="shm"
-        )
-        ctx = f"[shm-fuzz seed={seed} base={base}]"
-        try:
-            for m in masks:
-                got = coll.informative_stats(m)
-                want = ref.informative_stats(m)
-                assert _as_list(got[0]) == _as_list(want[0]), (
-                    f"{ctx} eids diverged on mask {m:#x}"
-                )
-                assert _as_list(got[1]) == _as_list(want[1]), (
-                    f"{ctx} counts diverged on mask {m:#x}"
-                )
-                assert coll.positive_counts(
-                    m, probe_eids
-                ) == ref.positive_counts(m, probe_eids), (
-                    f"{ctx} positive_counts diverged on mask {m:#x}"
-                )
-            coll.clear_caches()
-            ref.clear_caches()
-            for got, want in zip(
-                coll.informative_stats_many(masks),
-                ref.informative_stats_many(masks),
-            ):
-                assert _as_list(got[0]) == _as_list(want[0]), (
-                    f"{ctx} stacked eids diverged"
-                )
-                assert _as_list(got[1]) == _as_list(want[1]), (
-                    f"{ctx} stacked counts diverged"
-                )
-        finally:
-            coll._kernel.close()
 
 
 # --------------------------------------------------------------------- #

@@ -20,22 +20,12 @@ from repro.core.collection import SetCollection
 from repro.core.kernels import HAS_NATIVE, HAS_NUMPY
 
 #: (backend, shards, shard_executor) triples covering every kernel family
-#: and execution strategy available in this environment.
+#: and both shard executors (``None`` is the default thread pool).
 BACKENDS = [("bigint", None, None), ("bigint", 3, None)]
 if HAS_NUMPY:
-    BACKENDS += [("numpy", None, None), ("numpy", 4, None)]
+    BACKENDS += [("numpy", None, None), ("numpy", 4, None), ("numpy", 3, "serial")]
 if HAS_NATIVE:
     BACKENDS += [("native", None, None), ("native", 4, None)]
-    from repro.core.kernels._native import ext as _ext
-
-    if _ext.threaded_scan_available():
-        BACKENDS.append(("native", 4, "native"))
-if HAS_NUMPY:
-    from repro.core.kernels import shm as _shm
-    from repro.core.kernels.sharded import _fork_available
-
-    if _shm.HAS_SHM and _fork_available():
-        BACKENDS.append(("numpy", 3, "shm"))
 
 
 def build(raw, backend, shards, executor) -> SetCollection:
